@@ -18,12 +18,47 @@ addresses.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set
 
 from .names import Address, ApplicationName, DifName
 from .riep import M_WRITE, RiepMessage
 
 DIRECTORY_OBJ = "/directory/registrations"
+
+
+class DirectoryRecord:
+    """One member's registrations as flooded: origin, sequence number and
+    the set of application names registered there.
+
+    Immutable once flooded, like an :class:`~repro.core.routing.Lsa`:
+    every member that installs it holds the advertiser's object.
+    """
+
+    __slots__ = ("origin", "seq", "names", "_value_cache")
+
+    def __init__(self, origin: Address, seq: int,
+                 names: FrozenSet[ApplicationName]) -> None:
+        self.origin = origin
+        self.seq = seq
+        self.names = names
+        self._value_cache: Optional[dict] = None
+
+    def to_value(self) -> dict:
+        """JSON-like encoding carried in the RIEP message (cached)."""
+        if self._value_cache is None:
+            self._value_cache = {
+                "origin": self.origin.parts,
+                "seq": self.seq,
+                "names": sorted(str(n) for n in self.names),
+            }
+        return self._value_cache
+
+    @classmethod
+    def from_value(cls, value: dict) -> "DirectoryRecord":
+        """Decode the RIEP payload."""
+        return cls(Address(*value["origin"]), int(value["seq"]),
+                   frozenset(ApplicationName.parse(text)
+                             for text in value["names"]))
 
 
 class DifDirectory:
@@ -38,8 +73,8 @@ class DifDirectory:
         self._flood = flood_fn
         self._own_seq = 0
         self._local_names: Set[ApplicationName] = set()
-        # origin address -> (seq, set of names registered there)
-        self._remote: Dict[Address, Tuple[int, Set[ApplicationName]]] = {}
+        # origin address -> the record last flooded from there
+        self._remote: Dict[Address, DirectoryRecord] = {}
         self.updates_received = 0
         self.updates_reflooded = 0
 
@@ -69,17 +104,14 @@ class DifDirectory:
         if local is None:
             return
         self._own_seq += 1
-        message = RiepMessage(M_WRITE, obj=DIRECTORY_OBJ, value=self._own_value())
+        record = self._own_record(local)
+        message = RiepMessage(M_WRITE, obj=DIRECTORY_OBJ,
+                              value=record.to_value(), decoded=record)
         self._flood(message, None)
 
-    def _own_value(self) -> dict:
-        local = self._local_addr_fn()
-        assert local is not None
-        return {
-            "origin": local.parts,
-            "seq": self._own_seq,
-            "names": sorted(str(n) for n in self._local_names),
-        }
+    def _own_record(self, local: Address) -> DirectoryRecord:
+        return DirectoryRecord(local, self._own_seq,
+                               frozenset(self._local_names))
 
     def announce_all(self) -> None:
         """Re-advertise local registrations (after enrollment completes)."""
@@ -91,42 +123,42 @@ class DifDirectory:
     # ------------------------------------------------------------------
     def handle_update(self, message: RiepMessage,
                       from_neighbor: Optional[Address]) -> None:
-        """Process a flooded directory update."""
-        value = message.value
-        origin = Address(*value["origin"])
-        seq = int(value["seq"])
+        """Process a flooded directory update (the advertiser's record
+        rides along; only a copy that came through the codec is decoded,
+        once, keeping the result for its own reflood)."""
+        record = message.decoded
+        if record is None:
+            record = message.decoded = DirectoryRecord.from_value(
+                message.value)
+        origin = record.origin
         self.updates_received += 1
         local = self._local_addr_fn()
         if local is not None and origin == local:
             return
         current = self._remote.get(origin)
-        if current is not None and current[0] >= seq:
+        if current is not None and current.seq >= record.seq:
             return
-        names = {ApplicationName.parse(text) for text in value["names"]}
-        self._remote[origin] = (seq, names)
+        self._remote[origin] = record
         self.updates_reflooded += 1
         self._flood(message, from_neighbor)
 
-    def sync_snapshot(self) -> List[dict]:
-        """All known registration records (for enrollment fast-sync)."""
+    def records_snapshot(self) -> List[DirectoryRecord]:
+        """All known registration records, this member's first (for
+        enrollment fast-sync)."""
         records = []
         local = self._local_addr_fn()
         if local is not None and self._local_names:
-            records.append(self._own_value())
-        for origin, (seq, names) in sorted(self._remote.items()):
-            records.append({"origin": origin.parts, "seq": seq,
-                            "names": sorted(str(n) for n in names)})
+            records.append(self._own_record(local))
+        records.extend(record for _origin, record
+                       in sorted(self._remote.items()))
         return records
 
-    def load_snapshot(self, records: List[dict]) -> None:
+    def load_snapshot(self, records: List[DirectoryRecord]) -> None:
         """Install a bulk snapshot received at enrollment."""
-        for value in records:
-            origin = Address(*value["origin"])
-            seq = int(value["seq"])
-            current = self._remote.get(origin)
-            if current is None or current[0] < seq:
-                names = {ApplicationName.parse(t) for t in value["names"]}
-                self._remote[origin] = (seq, names)
+        for record in records:
+            current = self._remote.get(record.origin)
+            if current is None or current.seq < record.seq:
+                self._remote[record.origin] = record
 
     def forget_origin(self, origin: Address) -> None:
         """Drop registrations learned from a departed member."""
@@ -139,22 +171,22 @@ class DifDirectory:
         """Address of the member where ``name`` is registered (or None)."""
         if name in self._local_names:
             return self._local_addr_fn()
-        for origin, (_seq, names) in sorted(self._remote.items()):
-            if name in names:
+        for origin, record in sorted(self._remote.items()):
+            if name in record.names:
                 return origin
         return None
 
     def known_names(self) -> Set[ApplicationName]:
         """Every application name registered anywhere in the DIF."""
         known = set(self._local_names)
-        for _seq, names in self._remote.values():
-            known |= names
+        for record in self._remote.values():
+            known |= record.names
         return known
 
     def size(self) -> int:
         """Total registration records held (a RIB-size metric)."""
         return len(self._local_names) + sum(
-            len(names) for _seq, names in self._remote.values())
+            len(record.names) for record in self._remote.values())
 
 
 class InterDifDirectory:

@@ -30,9 +30,11 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .dif import DifError
+from .directory import DirectoryRecord
 from .names import Address
 from .riep import (M_CONNECT, M_START, RESULT_DENIED, RESULT_ERROR, RESULT_OK,
                    RiepMessage)
+from .routing import Lsa
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .ipcp import Ipcp
@@ -51,9 +53,10 @@ class EnrollmentTask:
         self._ipcp = ipcp
         # authenticator side: port id -> (joiner name text, challenge, region)
         self._pending_auth: Dict[int, Tuple[str, Optional[str], Tuple[int, ...]]] = {}
-        # authenticator side: completed enrollments, replayed on duplicate
-        # M_START (the joiner retries when our reply is lost)
-        self._completed: Dict[int, dict] = {}
+        # authenticator side: completed enrollments (reply value and its
+        # decoded snapshot), replayed on duplicate M_START (the joiner
+        # retries when our reply is lost)
+        self._completed: Dict[int, Tuple[dict, tuple]] = {}
         self.joins_completed = 0
         self.joins_failed = 0
         self.joins_accepted = 0
@@ -157,8 +160,16 @@ class EnrollmentTask:
         address = Address(*reply.value["address"])
         ipcp.set_address(address)
         ipcp.dif.register_member(address, ipcp)
-        ipcp.routing.load_lsdb(reply.value.get("lsdb", []))
-        ipcp.directory.load_snapshot(reply.value.get("dir", []))
+        snapshot = reply.decoded
+        if snapshot is None:
+            # the reply came through the codec: decode the snapshot once
+            snapshot = ([Lsa.from_value(value)
+                         for value in reply.value.get("lsdb", [])],
+                        [DirectoryRecord.from_value(value)
+                         for value in reply.value.get("dir", [])])
+        lsas, records = snapshot
+        ipcp.routing.load_lsdb(lsas)
+        ipcp.directory.load_snapshot(records)
         if peer_addr is not None:
             ipcp.bind_neighbor(port_id, peer_addr)
         ipcp.directory.announce_all()
@@ -216,7 +227,9 @@ class EnrollmentTask:
         ipcp = self._ipcp
         replay = self._completed.get(port_id)
         if replay is not None:
-            ipcp.send_mgmt_on_port(port_id, message.reply(value=replay))
+            value, snapshot = replay
+            ipcp.send_mgmt_on_port(
+                port_id, message.reply(value=value, decoded=snapshot))
             return
         pending = self._pending_auth.pop(port_id, None)
         challenge = pending[1] if pending else None
@@ -241,13 +254,18 @@ class EnrollmentTask:
             return
         self.joins_accepted += 1
         ipcp.dif.enrollments_accepted += 1
+        # the joiner installs the snapshot's objects themselves; the
+        # value is what a codec (and the link's size accounting) sees
+        lsas = ipcp.routing.lsdb_snapshot()
+        records = ipcp.directory.records_snapshot()
         value = {
             "address": address.parts,
-            "lsdb": ipcp.routing.sync_lsdb(),
-            "dir": ipcp.directory.sync_snapshot(),
+            "lsdb": [lsa.to_value() for lsa in lsas],
+            "dir": [record.to_value() for record in records],
         }
-        self._completed[port_id] = value
-        ipcp.send_mgmt_on_port(port_id, message.reply(value=value))
+        self._completed[port_id] = (value, (lsas, records))
+        ipcp.send_mgmt_on_port(
+            port_id, message.reply(value=value, decoded=(lsas, records)))
         ipcp.bind_neighbor(port_id, address)
         ipcp.tracer.log(ipcp.engine.now, "enrollment-accepted",
                         member=str(ipcp.name),

@@ -134,7 +134,15 @@ class FlowAllocator:
                            retries_left: int) -> None:
         flow = record.flow
         if flow.state != "pending":
+            # the user gave up while the request was in flight: free the
+            # committed bandwidth, and tear down the flow the responder
+            # allocated if its reply says it did
             self._records.pop(record.local_cep, None)
+            self._release_admission(record.local_cep)
+            if reply is not None and reply.ok:
+                message = RiepMessage(M_DELETE, obj=FLOW_OBJ,
+                                      value={"cep": int(reply.value["dst_cep"])})
+                self._ipcp.send_mgmt_routed(record.remote_addr, message)
             return
         if reply is None or not reply.ok:
             self._records.pop(record.local_cep, None)

@@ -244,9 +244,10 @@ class Ipcp:
         if port_id is None:
             return False
         copy = RiepMessage(template.opcode, obj=template.obj,
-                           value=template.value)
+                           value=template.value, decoded=template.decoded)
         # the payload is shared, so the encoded-size estimate carries over
-        # (re-walking a large LSA value per neighbor was a measured cost)
+        # (re-walking a large LSA value per neighbor was a measured cost),
+        # and so does the decoded object every receiver installs
         copy._size_cache = template.estimate_size()
 
         def on_reply(reply: Optional[RiepMessage]) -> None:

@@ -72,24 +72,36 @@ class RiepMessage:
         Correlates a response with its request; 0 = unsolicited.
     result:
         ``RESULT_*`` code, meaningful on ``*_R`` messages.
+    decoded:
+        The live object ``value`` encodes (an LSA, a directory record,
+        an enrollment snapshot), set by the member that built the value
+        and handed along with every copy of the message, so the members
+        of a DIF share one immutable object instead of each decoding
+        its own.  Process-local: the codec never encodes it, so a
+        message that crossed a cut arrives with ``decoded`` None and
+        its first reader decodes ``value`` once.
     """
 
     __slots__ = ("opcode", "obj", "value", "invoke_id", "result",
-                 "_size_cache")
+                 "decoded", "_size_cache")
 
     def __init__(self, opcode: str, obj: str = "", value: Any = None,
-                 invoke_id: int = 0, result: int = RESULT_OK) -> None:
+                 invoke_id: int = 0, result: int = RESULT_OK,
+                 decoded: Any = None) -> None:
         self.opcode = opcode
         self.obj = obj
         self.value = value
         self.invoke_id = invoke_id
         self.result = result
+        self.decoded = decoded
         self._size_cache: Optional[int] = None
 
-    def reply(self, value: Any = None, result: int = RESULT_OK) -> "RiepMessage":
+    def reply(self, value: Any = None, result: int = RESULT_OK,
+              decoded: Any = None) -> "RiepMessage":
         """Build the response message for this request."""
         return RiepMessage(response_opcode(self.opcode), obj=self.obj,
-                           value=value, invoke_id=self.invoke_id, result=result)
+                           value=value, invoke_id=self.invoke_id,
+                           result=result, decoded=decoded)
 
     def estimate_size(self) -> int:
         """Approximate encoded size in bytes (for link serialization).
@@ -132,26 +144,49 @@ class RiepMessage:
 
 
 def _estimate_value_size(value: Any) -> int:
-    """Rough, deterministic encoded-size estimate for JSON-like values."""
-    if value is None:
-        return 1
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, int):
-        return 8
-    if isinstance(value, float):
-        return 8
-    if isinstance(value, str):
-        return len(value)
-    if isinstance(value, bytes):
-        return len(value)
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return 2 + sum(_estimate_value_size(v) for v in value)
-    if isinstance(value, dict):
-        return 2 + sum(_estimate_value_size(k) + _estimate_value_size(v)
-                       for k, v in value.items())
-    # arbitrary objects: charge a flat record
-    return 32
+    """Rough, deterministic encoded-size estimate for JSON-like values.
+
+    None and bools cost 1 byte, numbers 8, strings and bytes their
+    length, a container 2 plus its members (a dict's keys and values
+    both), and any other object a flat 32.  The walk keeps an explicit
+    stack and dispatches on the exact type of the common cases
+    (``str``/``int``/``float`` leaves in ``list``/``tuple``/``dict``);
+    subclasses, bools, bytes and sets take the ``isinstance`` chain.
+    """
+    total = 0
+    stack = [value]
+    pop = stack.pop
+    extend = stack.extend
+    while stack:
+        item = pop()
+        kind = type(item)
+        if kind is str:
+            total += len(item)
+        elif kind is int or kind is float:
+            total += 8
+        elif kind is tuple or kind is list:
+            total += 2
+            extend(item)
+        elif kind is dict:
+            total += 2
+            extend(item.keys())
+            extend(item.values())
+        elif item is None or isinstance(item, bool):
+            total += 1
+        elif isinstance(item, (int, float)):
+            total += 8
+        elif isinstance(item, (str, bytes)):
+            total += len(item)
+        elif isinstance(item, (list, tuple, set, frozenset)):
+            total += 2
+            extend(item)
+        elif isinstance(item, dict):
+            total += 2
+            extend(item.keys())
+            extend(item.values())
+        else:
+            total += 32   # arbitrary objects: a flat record
+    return total
 
 
 ResponseHandler = Callable[[Optional[RiepMessage]], None]

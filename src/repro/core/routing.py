@@ -53,7 +53,14 @@ DEFAULT_COST = 1.0
 
 
 class Lsa:
-    """One origin's view of its adjacencies."""
+    """One origin's view of its adjacencies.
+
+    Immutable once flooded: the originating member builds it, and every
+    member that installs it from a flood or an enrollment snapshot
+    holds that same object (see :attr:`RiepMessage.decoded
+    <repro.core.riep.RiepMessage>`), so neither ``neighbors`` nor the
+    cached value may be mutated after construction.
+    """
 
     __slots__ = ("origin", "seq", "neighbors", "_value_cache")
 
@@ -282,7 +289,8 @@ class LinkStateRouting:
         self._lsdb.put(lsa)
         self._sync_local_claim()
         self.lsas_originated += 1
-        message = RiepMessage(M_WRITE, obj=LSA_OBJ, value=lsa.to_value())
+        message = RiepMessage(M_WRITE, obj=LSA_OBJ, value=lsa.to_value(),
+                              decoded=lsa)
         self._flood(message, None)
         self._schedule_spf()
 
@@ -297,15 +305,22 @@ class LinkStateRouting:
     def handle_lsa(self, message: RiepMessage, from_neighbor: Address) -> None:
         """Process a received ``M_WRITE /routing/lsa`` message."""
         self.lsas_received += 1
-        # dedup on (origin, seq) before decoding the neighbor list: most
-        # floods arrive several times and only the first copy is fresh —
-        # one read of the columnar seq array settles those
-        value = message.value
-        origin = Address(*value["origin"])
-        current_seq = self._lsdb.seq_of(origin)
-        if current_seq is not None and current_seq >= int(value["seq"]):
+        # the flood carries the originator's Lsa object.  A copy that
+        # came through the codec (a shard cut, the gateway) has only its
+        # value: a duplicate is settled on the header, a fresh copy is
+        # decoded once and keeps the result for its own reflood
+        lsa = message.decoded
+        if lsa is None:
+            value = message.value
+            current_seq = self._lsdb.seq_of(Address(*value["origin"]))
+            if current_seq is not None and current_seq >= int(value["seq"]):
+                return
+            lsa = message.decoded = Lsa.from_value(value)
+        # most floods arrive several times and only the first copy is
+        # fresh — one read of the columnar seq array settles the rest
+        current_seq = self._lsdb.seq_of(lsa.origin)
+        if current_seq is not None and current_seq >= lsa.seq:
             return  # stale or duplicate: flooding stops here
-        lsa = Lsa.from_value(value)
         self._lsdb.put(lsa)
         self.lsas_reflooded += 1
         self._flood(message, from_neighbor)
@@ -315,16 +330,17 @@ class LinkStateRouting:
             self._set_claim(lsa.origin, lsa.neighbors)
         self._schedule_spf()
 
-    def sync_lsdb(self) -> List[dict]:
-        """Snapshot of the LSDB for bulk transfer to a newly enrolled member."""
-        return [lsa.to_value() for lsa in self._lsdb.values_sorted()]
+    def lsdb_snapshot(self) -> List[Lsa]:
+        """The stored LSAs in origin order, for bulk transfer to a newly
+        enrolled member (the objects themselves: they are immutable)."""
+        return self._lsdb.values_sorted()
 
-    def load_lsdb(self, values: Sequence[dict]) -> None:
-        """Install a bulk LSDB snapshot (enrollment fast-sync)."""
+    def load_lsdb(self, lsas: Sequence[Lsa]) -> None:
+        """Install a bulk LSDB snapshot (enrollment fast-sync), keeping
+        any newer copy already held."""
         changed = False
         local = self._local_addr_fn()
-        for value in values:
-            lsa = Lsa.from_value(value)
+        for lsa in lsas:
             current_seq = self._lsdb.seq_of(lsa.origin)
             if current_seq is None or current_seq < lsa.seq:
                 self._lsdb.put(lsa)
@@ -402,13 +418,17 @@ class LinkStateRouting:
         a just-changed neighbor is usable before the LSA round-trips."""
         local = self._local_addr_fn()
         if local is not None and self._claims.get(local) != self._adjacencies:
-            self._set_claim(local, self._adjacencies)
+            self._set_claim(local, dict(self._adjacencies))
 
     def _set_claim(self, origin: Address,
                    neighbors: Dict[Address, float]) -> None:
         """Install one origin's claimed adjacency set and patch every
         two-way edge it touches (standard two-way check: an edge exists
-        only when both endpoints claim each other; cost = max of claims)."""
+        only when both endpoints claim each other; cost = max of claims).
+
+        ``neighbors`` is stored by reference, so it must never be
+        mutated afterwards: an LSA's map (immutable) or a fresh copy.
+        """
         old = self._claims.get(origin)
         if old == neighbors:
             return
@@ -418,7 +438,7 @@ class LinkStateRouting:
         touched = [peer for peer in set(old) | set(neighbors)
                    if old.get(peer) != neighbors.get(peer)]
         if neighbors:
-            self._claims[origin] = dict(neighbors)
+            self._claims[origin] = neighbors
         else:
             self._claims.pop(origin, None)
         for peer in touched:

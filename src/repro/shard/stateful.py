@@ -249,7 +249,8 @@ def rib_fingerprint(ipcp) -> str:
     lines = [f"address={ipcp.address}"]
     for dst, hop in sorted(ipcp.routing.table().items()):
         lines.append(f"route {dst}->{hop}")
-    for value in ipcp.routing.sync_lsdb():
+    for lsa in ipcp.routing.lsdb_snapshot():
+        value = lsa.to_value()
         neighbors = ",".join(
             f"{'.'.join(str(p) for p in parts)}:{cost!r}"
             for parts, cost in value["neighbors"])

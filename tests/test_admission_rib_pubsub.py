@@ -76,6 +76,29 @@ class TestAdmissionControl:
         late = self._allocate(network, systems, 1)
         assert late[0].ok
 
+    def test_cancel_while_pending_releases_both_ends(self):
+        # the user deallocates after M_CREATE left but before its reply
+        # arrived: the initiator must release its committed bandwidth,
+        # and the responder's already-allocated flow must be torn down
+        network, systems, _dif = build_pair(guaranteed_policies(1e7))
+        accepted = []
+        systems["b"].register_app(ApplicationName("svc"), accepted.append)
+        network.run(until=network.engine.now + 0.5)
+        initiator = systems["a"].ipcp("d").flow_allocator
+        responder = systems["b"].ipcp("d").flow_allocator
+        flow = systems["a"].allocate_flow(
+            ApplicationName("caller"), ApplicationName("svc"), qos=VOICE,
+            dif_name="d")
+        while initiator.committed_bandwidth_bps() == 0:
+            network.run(max_events=1)
+        assert flow.state == "pending"
+        flow.deallocate()
+        network.run(until=network.engine.now + 1.0)
+        assert [f.state for f in accepted] == ["deallocated"]
+        for allocator in (initiator, responder):
+            assert allocator.committed_bandwidth_bps() == 0
+            assert allocator.active_flow_count() == 0
+
     def test_best_effort_flows_unconstrained(self):
         network, systems, _dif = build_pair(guaranteed_policies(1e6))
         systems["b"].register_app(ApplicationName("svc"), lambda f: None)

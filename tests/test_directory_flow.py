@@ -91,7 +91,7 @@ class TestDifDirectory:
         source.handle_update(RiepMessage(M_WRITE, obj=DIRECTORY_OBJ, value={
             "origin": (2,), "seq": 1, "names": ["b"]}), Address(2))
         target = make_directory(Address(3))
-        target.load_snapshot(source.sync_snapshot())
+        target.load_snapshot(source.records_snapshot())
         assert target.lookup(ApplicationName("a")) == Address(1)
         assert target.lookup(ApplicationName("b")) == Address(2)
 

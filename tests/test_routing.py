@@ -180,7 +180,7 @@ class TestSync:
         engine = Engine()
         newcomer = LinkStateRouting(engine, lambda: Address(9),
                                     lambda m, e: 0, spf_delay=0.001)
-        newcomer.load_lsdb(tasks[2].sync_lsdb())
+        newcomer.load_lsdb(tasks[2].lsdb_snapshot())
         assert newcomer.lsdb_size() == tasks[2].lsdb_size()
 
     def test_load_keeps_newer_local_copies(self):
@@ -190,11 +190,11 @@ class TestSync:
         newer = Lsa(Address(1), 5, {Address(2): 1.0})
         task.handle_lsa(RiepMessage(M_WRITE, obj=LSA_OBJ,
                                     value=newer.to_value()), Address(1))
-        task.load_lsdb([Lsa(Address(1), 2, {}).to_value()])
+        task.load_lsdb([Lsa(Address(1), 2, {})])
         # the seq-5 copy must survive
-        snapshot = task.sync_lsdb()
-        entry = [v for v in snapshot if tuple(v["origin"]) == (1,)][0]
-        assert entry["seq"] == 5
+        snapshot = task.lsdb_snapshot()
+        entry = [lsa for lsa in snapshot if lsa.origin == Address(1)][0]
+        assert entry.seq == 5
 
     def test_refresh_bumps_sequence(self):
         engine = Engine()
